@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: all check build vet test race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke bench bench-smoke bench-compare microbench
+.PHONY: all check build vet test race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke perfbench-test bench bench-smoke bench-compare microbench
 
 all: check
 
 # check is the tier-1 gate: build, vet, race-enabled tests, gofmt as a
 # failing check, the tracing-overhead budget, the replication smoke,
-# the group-commit stress smoke, the compaction smoke, and the
-# incremental-view smoke.
-check: build vet race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke
+# the group-commit stress smoke, the compaction smoke, the
+# incremental-view smoke, and the benchmark's own unit tests.
+check: build vet race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke perfbench-test
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,12 @@ compact-smoke:
 view-smoke:
 	$(GO) test -race -run 'TestRetroView|TestReplicatedRetroViews|TestViewSmoke' ./internal/core ./internal/repl ./internal/server
 
+# perfbench-test vets and tests the benchmark module (perfbench/, its
+# own go.mod): the shadow model that checks every sampled result and
+# the spread/median statistics the benchmark reports.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # bench appends a machine-readable batch-SPT run to BENCH_rql.json:
 # wall time, Maplog entries scanned, cache hit rates, and delta-pruning
 # outcome per mechanism, sequential and parallel, for legacy vs
@@ -85,6 +91,8 @@ bench-smoke:
 bench-compare:
 	$(GO) run ./cmd/rqlbench -compare BENCH_rql.json
 
-# microbench runs the Go testing benchmarks (one pass, smoke-level).
+# microbench runs the Go testing benchmarks (one pass, smoke-level),
+# among them BenchmarkTableScan (internal/sql), whose allocs/op is the
+# per-row decode allocation tax of a pruned multi-page scan.
 microbench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...

@@ -1,6 +1,7 @@
 package record
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,66 +47,87 @@ func EncodeRow(dst []byte, vals []Value) []byte {
 	return dst
 }
 
-// DecodeRow decodes a record previously produced by EncodeRow.
+// DecodeRow decodes every column of a record previously produced by
+// EncodeRow into a fresh slice.
 func DecodeRow(data []byte) ([]Value, error) {
-	var types []Type
-	i := 0
-	for {
-		if i >= len(data) {
-			return nil, ErrCorrupt
-		}
-		t := data[i]
-		i++
-		if t == recordEnd {
-			break
-		}
-		if t > byte(TypeBlob) {
-			return nil, fmt.Errorf("%w: bad type byte %d", ErrCorrupt, t)
-		}
-		types = append(types, Type(t))
+	n := bytes.IndexByte(data, recordEnd)
+	if n < 0 {
+		return nil, ErrCorrupt
 	}
-	vals := make([]Value, len(types))
-	for k, t := range types {
-		switch t {
-		case TypeNull:
-			vals[k] = Null()
-		case TypeInt:
-			n, sz := binary.Varint(data[i:])
-			if sz <= 0 {
-				return nil, ErrCorrupt
-			}
-			i += sz
-			vals[k] = Int(n)
-		case TypeFloat:
-			if i+8 > len(data) {
-				return nil, ErrCorrupt
-			}
-			vals[k] = Float(math.Float64frombits(binary.BigEndian.Uint64(data[i:])))
-			i += 8
-		case TypeText:
-			n, sz := binary.Uvarint(data[i:])
-			if sz <= 0 || i+sz+int(n) > len(data) {
-				return nil, ErrCorrupt
-			}
-			i += sz
-			vals[k] = Text(string(data[i : i+int(n)]))
-			i += int(n)
-		case TypeBlob:
-			n, sz := binary.Uvarint(data[i:])
-			if sz <= 0 || i+sz+int(n) > len(data) {
-				return nil, ErrCorrupt
-			}
-			i += sz
-			b := make([]byte, n)
-			copy(b, data[i:])
-			i += int(n)
-			vals[k] = Blob(b)
-		}
-	}
-	if i != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-i)
+	vals := make([]Value, n)
+	if err := DecodeRowInto(vals, data, nil); err != nil {
+		return nil, err
 	}
 	return vals, nil
+}
+
+// DecodeRowInto decodes a record into dst. Column k is materialized
+// only when need is nil or need[k] is true; every other position of
+// dst, including those past the record's last column, is set to NULL,
+// so a reused dst never keeps a previous row's values. Skipped columns
+// are still validated: every type byte and payload length is checked
+// and trailing bytes are rejected, exactly as for a full decode. A
+// record holding more columns than len(dst) is corrupt.
+//
+// Text and blob values are copied out of data, never aliased: callers
+// decode straight from pages that a writer may still mutate and that
+// retained values would otherwise pin.
+func DecodeRowInto(dst []Value, data []byte, need []bool) error {
+	hdr := bytes.IndexByte(data, recordEnd)
+	if hdr < 0 {
+		return ErrCorrupt
+	}
+	if hdr > len(dst) {
+		return fmt.Errorf("%w: %d columns, want at most %d", ErrCorrupt, hdr, len(dst))
+	}
+	p := hdr + 1
+	for k := 0; k < hdr; k++ {
+		t := Type(data[k])
+		keep := need == nil || (k < len(need) && need[k])
+		var v Value
+		switch t {
+		case TypeNull:
+		case TypeInt:
+			n, sz := binary.Varint(data[p:])
+			if sz <= 0 {
+				return ErrCorrupt
+			}
+			p += sz
+			v = Int(n)
+		case TypeFloat:
+			if len(data)-p < 8 {
+				return ErrCorrupt
+			}
+			v = Float(math.Float64frombits(binary.BigEndian.Uint64(data[p:])))
+			p += 8
+		case TypeText, TypeBlob:
+			n, sz := binary.Uvarint(data[p:])
+			if sz <= 0 || n > uint64(len(data)-p-sz) {
+				return ErrCorrupt
+			}
+			p += sz
+			payload := data[p : p+int(n)]
+			p += int(n)
+			switch {
+			case !keep:
+			case t == TypeText:
+				v = Text(string(payload))
+			default:
+				v = Blob(append(make([]byte, 0, n), payload...))
+			}
+		default:
+			return fmt.Errorf("%w: bad type byte %d", ErrCorrupt, t)
+		}
+		if !keep {
+			v = Value{}
+		}
+		dst[k] = v
+	}
+	if p != len(data) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-p)
+	}
+	clear(dst[hdr:])
+	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -187,73 +187,27 @@ func (d *distinctAgg) final() record.Value { return d.inner.final() }
 // collectAggregates walks an expression tree collecting aggregate
 // function calls (they cannot nest; nesting is reported as an error).
 func collectAggregates(e Expr, into *[]*FuncCall) error {
-	switch x := e.(type) {
-	case nil, *Literal, *ColumnRef, *ParamRef:
-		return nil
-	case *UnaryExpr:
-		return collectAggregates(x.X, into)
-	case *BinaryExpr:
-		if err := collectAggregates(x.L, into); err != nil {
-			return err
+	var err error
+	known := visitExpr(e, func(x Expr) bool {
+		fc, ok := x.(*FuncCall)
+		if err != nil || !ok || !isAggregateCall(fc) {
+			return err == nil
 		}
-		return collectAggregates(x.R, into)
-	case *IsNullExpr:
-		return collectAggregates(x.X, into)
-	case *BetweenExpr:
-		for _, sub := range []Expr{x.X, x.Lo, x.Hi} {
-			if err := collectAggregates(sub, into); err != nil {
-				return err
+		var nested []*FuncCall
+		for _, a := range fc.Args {
+			if err = collectAggregates(a, &nested); err != nil {
+				return false
 			}
 		}
-		return nil
-	case *InExpr:
-		if err := collectAggregates(x.X, into); err != nil {
-			return err
+		if len(nested) > 0 {
+			err = fmt.Errorf("sql: aggregate functions cannot nest")
+			return false
 		}
-		for _, it := range x.List {
-			if err := collectAggregates(it, into); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *LikeExpr:
-		if err := collectAggregates(x.X, into); err != nil {
-			return err
-		}
-		return collectAggregates(x.Pattern, into)
-	case *CaseExpr:
-		if err := collectAggregates(x.Operand, into); err != nil {
-			return err
-		}
-		for _, w := range x.Whens {
-			if err := collectAggregates(w.Cond, into); err != nil {
-				return err
-			}
-			if err := collectAggregates(w.Result, into); err != nil {
-				return err
-			}
-		}
-		return collectAggregates(x.Else, into)
-	case *FuncCall:
-		if isAggregateCall(x) {
-			var nested []*FuncCall
-			for _, a := range x.Args {
-				if err := collectAggregates(a, &nested); err != nil {
-					return err
-				}
-			}
-			if len(nested) > 0 {
-				return fmt.Errorf("sql: aggregate functions cannot nest")
-			}
-			*into = append(*into, x)
-			return nil
-		}
-		for _, a := range x.Args {
-			if err := collectAggregates(a, into); err != nil {
-				return err
-			}
-		}
-		return nil
+		*into = append(*into, fc)
+		return false
+	})
+	if err == nil && !known {
+		err = fmt.Errorf("sql: collectAggregates: unknown expression %T", e)
 	}
-	return fmt.Errorf("sql: collectAggregates: unknown expression %T", e)
+	return err
 }

@@ -237,3 +237,44 @@ func (*InExpr) expr()      {}
 func (*LikeExpr) expr()    {}
 func (*CaseExpr) expr()    {}
 func (*FuncCall) expr()    {}
+
+// visitExpr calls fn on e and, while fn returns true, on each of e's
+// subexpressions, depth first. A nil e is not visited. It reports
+// false when it meets an expression kind it does not know.
+func visitExpr(e Expr, fn func(Expr) bool) bool {
+	if e == nil || !fn(e) {
+		return true
+	}
+	var subs []Expr
+	switch x := e.(type) {
+	case *Literal, *ColumnRef, *ParamRef:
+	case *UnaryExpr:
+		subs = []Expr{x.X}
+	case *BinaryExpr:
+		subs = []Expr{x.L, x.R}
+	case *IsNullExpr:
+		subs = []Expr{x.X}
+	case *BetweenExpr:
+		subs = []Expr{x.X, x.Lo, x.Hi}
+	case *InExpr:
+		subs = append([]Expr{x.X}, x.List...)
+	case *LikeExpr:
+		subs = []Expr{x.X, x.Pattern}
+	case *CaseExpr:
+		subs = []Expr{x.Operand}
+		for _, w := range x.Whens {
+			subs = append(subs, w.Cond, w.Result)
+		}
+		subs = append(subs, x.Else)
+	case *FuncCall:
+		subs = x.Args
+	default:
+		return false
+	}
+	for _, sub := range subs {
+		if !visitExpr(sub, fn) {
+			return false
+		}
+	}
+	return true
+}

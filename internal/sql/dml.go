@@ -433,7 +433,7 @@ func (w *writeEnv) matchRows(t *Table, sch *schema, where Expr) ([][]record.Valu
 	cols = append(cols, colInfo{table: strings.ToLower(t.Name), name: "#rowid"})
 
 	conds := splitAnd(where)
-	var it iterator = pickAccessPath(t, sch, pager, conds, w.ec)
+	var it iterator = pickAccessPath(t, sch, pager, conds, nil, w.ec)
 	for _, cond := range conds {
 		c, err := compileExpr(cond, &compileEnv{cols: cols, ec: w.ec})
 		if err != nil {
@@ -686,7 +686,7 @@ func (w *writeEnv) execCreateIndex(s *CreateIndexStmt) error {
 
 	// Populate from the table.
 	tree := btree.Open(w.tx, ix.Root)
-	scan := newTableScan(w.tx, t)
+	scan := newTableScan(w.tx, t, nil)
 	for {
 		row, err := scan.Next()
 		if err != nil {

@@ -3,6 +3,7 @@ package sql
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"sort"
 	"time"
 
@@ -47,15 +48,24 @@ func (i *oneRowIter) Next() ([]record.Value, error) {
 func (i *oneRowIter) Close() error { return nil }
 
 // tableScanIter scans a table in rowid order, emitting the columns
-// followed by the hidden rowid.
+// followed by the hidden rowid. Only the columns in need are decoded
+// (nil = all); the others read as NULL. Every row is decoded into the
+// same buffer, which the next call overwrites.
 type tableScanIter struct {
 	cur     *btree.Cursor
-	ncols   int
+	table   *Table
+	need    []bool
+	row     []record.Value
 	started bool
 }
 
-func newTableScan(p storage.Pager, t *Table) *tableScanIter {
-	return &tableScanIter{cur: btree.Open(p, t.Root).Cursor(), ncols: len(t.Cols)}
+func newTableScan(p storage.Pager, t *Table, need []bool) *tableScanIter {
+	return &tableScanIter{
+		cur:   btree.Open(p, t.Root).Cursor(),
+		table: t,
+		need:  need,
+		row:   make([]record.Value, len(t.Cols)+1),
+	}
 }
 
 func (i *tableScanIter) Next() ([]record.Value, error) {
@@ -70,24 +80,21 @@ func (i *tableScanIter) Next() ([]record.Value, error) {
 	if err != nil || !ok {
 		return nil, err
 	}
-	vals, err := record.DecodeRow(i.cur.Value())
-	if err != nil {
+	n := len(i.row) - 1
+	if err := record.DecodeRowInto(i.row[:n], i.cur.Value(), i.need); err != nil {
 		return nil, err
 	}
-	row := make([]record.Value, i.ncols+1)
-	copy(row, vals)
-	for k := len(vals); k < i.ncols; k++ {
-		row[k] = record.Null()
-	}
-	row[i.ncols] = record.Int(decodeRowidKey(i.cur.Key()))
-	return row, nil
+	i.row[n] = record.Int(decodeRowidKey(i.cur.Key()))
+	return i.row, nil
 }
 func (i *tableScanIter) Close() error { return nil }
 
 // indexScanIter scans one index over a constant key range, fetching
-// full rows from the table. lo is the seek target; the scan continues
+// rows from the table. lo is the seek target; the scan continues
 // while the index key starts with eqPrefix (equality scans) and, for
-// range scans, while checkHi admits the first key column.
+// range scans, while checkHi admits the first key column. As in
+// tableScanIter, only the columns in need are decoded, into one
+// reused row buffer.
 type indexScanIter struct {
 	pager    storage.Pager
 	table    *Table
@@ -96,6 +103,8 @@ type indexScanIter struct {
 	lo       []byte
 	eqPrefix []byte
 	checkHi  func(v record.Value) bool // nil = no upper bound
+	need     []bool
+	row      []record.Value
 	started  bool
 }
 
@@ -124,35 +133,33 @@ func (i *indexScanIter) Next() ([]record.Value, error) {
 			return nil, nil
 		}
 		rowid := decoded[len(decoded)-1].Int()
-		row, err := fetchRow(i.tbl, i.table, rowid)
+		found, err := fetchRow(i.row, i.tbl, rowid, i.need)
 		if err != nil {
 			return nil, err
 		}
-		if row == nil {
+		if !found {
 			continue // index points at a vanished row: skip defensively
 		}
-		return row, nil
+		return i.row, nil
 	}
 }
 func (i *indexScanIter) Close() error { return nil }
 
-// fetchRow loads a table row by rowid, appending the hidden rowid.
-func fetchRow(tbl *btree.Tree, t *Table, rowid int64) ([]record.Value, error) {
+// fetchRow loads the row with the given rowid into dst, which holds
+// the table's columns followed by the hidden rowid. Only the columns in
+// need are decoded (nil = all). It reports false when no such row
+// exists.
+func fetchRow(dst []record.Value, tbl *btree.Tree, rowid int64, need []bool) (bool, error) {
 	v, found, err := tbl.Get(rowidKey(rowid))
 	if err != nil || !found {
-		return nil, err
+		return false, err
 	}
-	vals, err := record.DecodeRow(v)
-	if err != nil {
-		return nil, err
+	n := len(dst) - 1
+	if err := record.DecodeRowInto(dst[:n], v, need); err != nil {
+		return false, err
 	}
-	row := make([]record.Value, len(t.Cols)+1)
-	copy(row, vals)
-	for k := len(vals); k < len(t.Cols); k++ {
-		row[k] = record.Null()
-	}
-	row[len(t.Cols)] = record.Int(rowid)
-	return row, nil
+	dst[n] = record.Int(rowid)
+	return true, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -163,6 +170,7 @@ type filterIter struct {
 	src  iterator
 	cond compiledExpr
 	ec   *execCtx
+	rc   rowCtx // reused evaluation context
 }
 
 func (i *filterIter) Next() ([]record.Value, error) {
@@ -171,7 +179,8 @@ func (i *filterIter) Next() ([]record.Value, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		v, err := i.cond(&rowCtx{row: row, ec: i.ec})
+		i.rc = rowCtx{row: row, ec: i.ec}
+		v, err := i.cond(&i.rc)
 		if err != nil {
 			return nil, err
 		}
@@ -355,6 +364,9 @@ type indexJoinIter struct {
 	cond     compiledExpr
 	ec       *execCtx
 
+	need  []bool         // inner columns to decode (nil = all)
+	inner []record.Value // reused inner row buffer
+
 	outerRow []record.Value
 	idxCur   *btree.Cursor
 	prefix   []byte
@@ -402,14 +414,14 @@ func (i *indexJoinIter) Next() ([]record.Value, error) {
 			return nil, err
 		}
 		rowid := decoded[len(decoded)-1].Int()
-		inner, err := fetchRow(i.tbl, i.table, rowid)
+		found, err := fetchRow(i.inner, i.tbl, rowid, i.need)
 		if err != nil {
 			return nil, err
 		}
-		if inner == nil {
+		if !found {
 			continue
 		}
-		joined := joinRows(i.outerRow, inner)
+		joined := joinRows(i.outerRow, i.inner)
 		if i.cond != nil {
 			v, err := i.cond(&rowCtx{row: joined, ec: i.ec})
 			if err != nil {
@@ -482,7 +494,8 @@ func joinRows(a, b []record.Value) []record.Value {
 	return append(out, b...)
 }
 
-// drain materializes an iterator.
+// drain materializes an iterator. Each row is copied: scans hand out
+// one reused buffer.
 func drain(it iterator) ([][]record.Value, error) {
 	defer it.Close()
 	var rows [][]record.Value
@@ -494,7 +507,7 @@ func drain(it iterator) ([][]record.Value, error) {
 		if row == nil {
 			return rows, nil
 		}
-		rows = append(rows, row)
+		rows = append(rows, slices.Clone(row))
 	}
 }
 
@@ -560,6 +573,10 @@ func (i *aggregateIter) run() error {
 	// aggregate exists and it is min or max.
 	repFollowsExtreme := len(i.specs) == 1 && i.specs[0].isMinMax
 
+	// One evaluation context and one key buffer serve every input row;
+	// the key is copied into a string only when it opens a new group.
+	rc := &rowCtx{ec: i.ec}
+	var keyBuf []byte
 	for {
 		row, err := i.src.Next()
 		if err != nil {
@@ -568,8 +585,8 @@ func (i *aggregateIter) run() error {
 		if row == nil {
 			break
 		}
-		rc := &rowCtx{row: row, ec: i.ec}
-		var keyBuf []byte
+		rc.row = row
+		keyBuf = keyBuf[:0]
 		for _, g := range i.groupBy {
 			v, err := g(rc)
 			if err != nil {
@@ -577,10 +594,10 @@ func (i *aggregateIter) run() error {
 			}
 			keyBuf = record.EncodeKey(keyBuf, []record.Value{v})
 		}
-		key := string(keyBuf)
-		grp := groups[key]
+		grp := groups[string(keyBuf)]
 		if grp == nil {
-			grp = &aggGroup{rep: append([]record.Value(nil), row...)}
+			key := string(keyBuf)
+			grp = &aggGroup{rep: slices.Clone(row)}
 			for _, spec := range i.specs {
 				st, err := newAggState(spec.call.Name)
 				if err != nil {
@@ -787,6 +804,9 @@ func (i *finalIter) sortAll() error {
 			}
 			key[k] = v
 		}
+		// The source row is not retained: its buffer may belong to a
+		// scan that overwrites it on the next call.
+		pr.src = nil
 		i.rows = append(i.rows, pr)
 		i.keys = append(i.keys, key)
 	}

@@ -45,13 +45,13 @@ func describe(it any, depth int, out *[]string) {
 	case *oneRowIter:
 		add("CONSTANT ROW")
 	case *tableScanIter:
-		add("SCAN TABLE (%d columns)", x.ncols)
+		add("SCAN TABLE %s (%s)", x.table.Name, decodedColumns(x.table, x.need))
 	case *indexScanIter:
 		kind := "RANGE"
 		if x.eqPrefix != nil {
 			kind = "EQUALITY"
 		}
-		add("SEARCH TABLE %s USING INDEX (%s)", x.table.Name, kind)
+		add("SEARCH TABLE %s USING INDEX (%s) (%s)", x.table.Name, kind, decodedColumns(x.table, x.need))
 	case *filterIter:
 		add("FILTER")
 		describe(x.src, depth+1, out)
@@ -99,6 +99,20 @@ func describe(it any, depth int, out *[]string) {
 	default:
 		add("%T", it)
 	}
+}
+
+// decodedColumns renders a scan's projection pushdown as "k of n columns".
+func decodedColumns(t *Table, need []bool) string {
+	k := len(t.Cols)
+	if need != nil {
+		k = 0
+		for _, n := range need {
+			if n {
+				k++
+			}
+		}
+	}
+	return fmt.Sprintf("%d of %d columns", k, len(t.Cols))
 }
 
 // execExplain plans the wrapped SELECT and streams the plan lines.

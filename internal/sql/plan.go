@@ -16,12 +16,15 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 	type fromItem struct {
 		cols     []colInfo
 		table    *Table
+		need     []bool // columns the statement references (nil = all)
 		schema   *schema
 		pager    storage.Pager
 		subRows  [][]record.Value
 		joinCond Expr
 		leftJoin bool
 	}
+	refs := make(map[string]bool)
+	allCols := !referencedColumns(s, refs)
 	var items []fromItem
 	for _, ref := range s.From {
 		var item fromItem
@@ -59,6 +62,9 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 			cols = append(cols, colInfo{table: alias, name: "#rowid"})
 			item.cols = cols
 			item.table = t
+			if !allCols {
+				item.need = columnsNeeded(t, refs)
+			}
 			item.schema = sch
 			item.pager = pager
 		}
@@ -121,7 +127,7 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 		if item.table == nil {
 			it = &sliceIter{rows: item.subRows}
 		} else {
-			it = pickAccessPath(item.table, item.schema, item.pager, conds, ec)
+			it = pickAccessPath(item.table, item.schema, item.pager, conds, item.need, ec)
 		}
 		for _, cond := range conds {
 			c, err := compileExpr(cond, &compileEnv{cols: item.cols, ec: ec})
@@ -231,6 +237,8 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 					index:    ix,
 					outerKey: outerKey,
 					ec:       ec,
+					need:     item.need,
+					inner:    make([]record.Value, len(item.table.Cols)+1),
 					tbl:      btree.Open(item.pager, item.table.Root),
 				}
 			} else {
@@ -463,6 +471,64 @@ func planSelect(s *SelectStmt, ec *execCtx) (iterator, []colInfo, error) {
 	return fin, outCols, nil
 }
 
+// referencedColumns adds to names the lower-cased name of every column
+// s references: in the select list, JOIN ... ON, WHERE, GROUP BY,
+// HAVING, ORDER BY and FROM subqueries. Qualifiers are ignored, so the
+// set may over-approximate what one table needs. It reports false when
+// the statement selects a star or holds an expression kind the walk
+// does not know: every column is then needed.
+func referencedColumns(s *SelectStmt, names map[string]bool) bool {
+	exprs := []Expr{s.Where, s.Having}
+	exprs = append(exprs, s.GroupBy...)
+	for _, col := range s.Cols {
+		if col.Star {
+			return false
+		}
+		exprs = append(exprs, col.Expr)
+	}
+	for _, ref := range s.From {
+		exprs = append(exprs, ref.JoinCond)
+		if ref.Subquery != nil && !referencedColumns(ref.Subquery, names) {
+			return false
+		}
+	}
+	for _, ot := range s.OrderBy {
+		exprs = append(exprs, ot.Expr)
+	}
+	for _, e := range exprs {
+		if !exprColumns(e, names) {
+			return false
+		}
+	}
+	return true
+}
+
+// exprColumns adds the column names e references to names; it reports
+// false for an expression kind it does not know.
+func exprColumns(e Expr, names map[string]bool) bool {
+	return visitExpr(e, func(x Expr) bool {
+		if ref, ok := x.(*ColumnRef); ok {
+			names[strings.ToLower(ref.Name)] = true
+		}
+		return true
+	})
+}
+
+// columnsNeeded maps referenced names onto t's columns; nil means every
+// column is referenced.
+func columnsNeeded(t *Table, names map[string]bool) []bool {
+	need := make([]bool, len(t.Cols))
+	all := true
+	for k, c := range t.Cols {
+		need[k] = names[strings.ToLower(c.Name)]
+		all = all && need[k]
+	}
+	if all {
+		return nil
+	}
+	return need
+}
+
 // applyAvailable filters the stream with every unplaced conjunct that
 // resolves over the given scope.
 func applyAvailable(cur iterator, scope []colInfo, conjuncts []Expr, placed []bool, ec *execCtx) (iterator, error) {
@@ -531,8 +597,9 @@ func nativeJoinIndex(t *Table, sch *schema, innerKey Expr) *Index {
 }
 
 // pickAccessPath chooses between a full scan and an index scan for a
-// base table given its local conjuncts.
-func pickAccessPath(t *Table, sch *schema, pager storage.Pager, conds []Expr, ec *execCtx) iterator {
+// base table given its local conjuncts. The scan decodes only the
+// columns in need (nil = all).
+func pickAccessPath(t *Table, sch *schema, pager storage.Pager, conds []Expr, need []bool, ec *execCtx) iterator {
 	// Gather constant equality and range conditions per column.
 	eq := make(map[string]Expr)
 	type rng struct {
@@ -598,7 +665,7 @@ func pickAccessPath(t *Table, sch *schema, pager storage.Pager, conds []Expr, ec
 		}
 	}
 	if best == nil || (bestEqLen == 0 && !bestRange) {
-		return newTableScan(pager, t)
+		return newTableScan(pager, t, need)
 	}
 
 	it := &indexScanIter{
@@ -606,13 +673,15 @@ func pickAccessPath(t *Table, sch *schema, pager storage.Pager, conds []Expr, ec
 		table:  t,
 		idxCur: btree.Open(pager, best.Root).Cursor(),
 		tbl:    btree.Open(pager, t.Root),
+		need:   need,
+		row:    make([]record.Value, len(t.Cols)+1),
 	}
 	if bestEqLen > 0 {
 		vals := make([]record.Value, 0, bestEqLen)
 		for _, c := range best.Cols[:bestEqLen] {
 			v, err := evalConst(eq[strings.ToLower(c)], ec)
 			if err != nil {
-				return newTableScan(pager, t)
+				return newTableScan(pager, t, need)
 			}
 			vals = append(vals, v)
 		}
@@ -628,7 +697,7 @@ func pickAccessPath(t *Table, sch *schema, pager storage.Pager, conds []Expr, ec
 	for _, r := range ranges[col] {
 		v, err := evalConst(r.e, ec)
 		if err != nil {
-			return newTableScan(pager, t)
+			return newTableScan(pager, t, need)
 		}
 		switch r.op {
 		case ">", ">=":

@@ -142,49 +142,22 @@ func (a *pruneAnalyzer) walkSelect(s *SelectStmt, top bool) {
 }
 
 func (a *pruneAnalyzer) walkExpr(e Expr) {
-	if e == nil || a.reason != "" {
+	if a.reason != "" {
 		return
 	}
-	switch x := e.(type) {
-	case *Literal, *ColumnRef, *ParamRef:
-	case *UnaryExpr:
-		a.walkExpr(x.X)
-	case *BinaryExpr:
-		a.walkExpr(x.L)
-		a.walkExpr(x.R)
-	case *IsNullExpr:
-		a.walkExpr(x.X)
-	case *BetweenExpr:
-		a.walkExpr(x.X)
-		a.walkExpr(x.Lo)
-		a.walkExpr(x.Hi)
-	case *InExpr:
-		a.walkExpr(x.X)
-		for _, v := range x.List {
-			a.walkExpr(v)
-		}
-	case *LikeExpr:
-		a.walkExpr(x.X)
-		a.walkExpr(x.Pattern)
-	case *CaseExpr:
-		a.walkExpr(x.Operand)
-		for _, w := range x.Whens {
-			a.walkExpr(w.Cond)
-			a.walkExpr(w.Result)
-		}
-		a.walkExpr(x.Else)
-	case *FuncCall:
+	known := visitExpr(e, func(x Expr) bool {
+		fc, ok := x.(*FuncCall)
 		switch {
-		case x.Name == "current_snapshot":
+		case !ok || isAggregateName(fc.Name) || pruneSafeFuncs[fc.Name]:
+			return true
+		case fc.Name == "current_snapshot":
 			a.fail("current_snapshot() outside a bare projection column")
-		case isAggregateName(x.Name) || pruneSafeFuncs[x.Name]:
-			for _, arg := range x.Args {
-				a.walkExpr(arg)
-			}
 		default:
-			a.fail("non-builtin function %s()", x.Name)
+			a.fail("non-builtin function %s()", fc.Name)
 		}
-	default:
+		return false
+	})
+	if !known {
 		a.fail("unsupported expression")
 	}
 }

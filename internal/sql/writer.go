@@ -109,8 +109,9 @@ func (w *TableWriter) LookupByIndex(indexName string, vals []record.Value) (int6
 		return 0, nil, false, err
 	}
 	rowid := decoded[len(decoded)-1].Int()
-	row, err := fetchRow(btree.Open(w.tx, w.t.Root), w.t, rowid)
-	if err != nil || row == nil {
+	row := make([]record.Value, len(w.t.Cols)+1)
+	found, err := fetchRow(row, btree.Open(w.tx, w.t.Root), rowid, nil)
+	if err != nil || !found {
 		return 0, nil, false, err
 	}
 	return rowid, row[:len(row)-1], true, nil

@@ -167,7 +167,10 @@ func (s *Store) applyGroup(batch []*commitReq) {
 	if failAll == nil && gh != nil {
 		gh.EndGroup()
 	}
-	if len(claimed) > 0 && failAll == nil {
+	// A group is counted only when it committed something, so every
+	// counted group carries exactly one flush decision (GroupDurable).
+	// All-conflict drains stay visible through Conflicts.
+	if committed > 0 {
 		s.stats.Groups.Add(1)
 		s.stats.GroupSizeBuckets[groupSizeBucket(len(claimed))].Add(1)
 	}

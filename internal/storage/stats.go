@@ -11,11 +11,12 @@ type Stats struct {
 
 	// Group commit (group.go). Legacy-mode commits count as groups of
 	// one, so Commits/Groups is the mean group size in either mode.
-	Groups      atomic.Uint64 // commit groups applied
+	Groups      atomic.Uint64 // commit groups that committed >= 1 transaction
 	Conflicts   atomic.Uint64 // transactions aborted first-committer-wins
 	QueueWaitNS atomic.Uint64 // cumulative commit-queue wait, nanoseconds
 
-	// GroupSizeBuckets histograms applied group sizes; bucket i counts
+	// GroupSizeBuckets histograms the sizes of the groups counted in
+	// Groups (claimed requests, conflicts included); bucket i counts
 	// groups of size <= GroupSizeBounds[i], the last bucket is +Inf.
 	GroupSizeBuckets [NumGroupSizeBuckets]atomic.Uint64
 }
