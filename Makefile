@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: all check build vet test race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke perfbench-test bench bench-smoke bench-compare microbench
+.PHONY: all check build vet test race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke perfbench-test bench bench-smoke bench-compare microbench
 
 all: check
 
 # check is the tier-1 gate: build, vet, race-enabled tests, gofmt as a
 # failing check, the tracing-overhead budget, the replication smoke,
 # the group-commit stress smoke, the compaction smoke, the
-# incremental-view smoke, and the benchmark's own unit tests.
-check: build vet race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke perfbench-test
+# incremental-view smoke, the fuzz smoke, and the benchmark's own unit
+# tests.
+check: build vet race fmt trace-check repl-smoke groupcommit-smoke compact-smoke view-smoke fuzz-smoke perfbench-test
 
 build:
 	$(GO) build ./...
@@ -65,6 +66,14 @@ compact-smoke:
 view-smoke:
 	$(GO) test -race -run 'TestRetroView|TestReplicatedRetroViews|TestViewSmoke' ./internal/core ./internal/repl ./internal/server
 
+# fuzz-smoke runs each fuzz target for 10s beyond its seed corpus: the
+# row decoder (FuzzDecodeRow) and B+tree operation sequences with
+# in-place replacement, checked against a map model and for overlapping
+# cells after every operation (FuzzTreeOps).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 10s ./internal/record
+	$(GO) test -run '^$$' -fuzz '^FuzzTreeOps$$' -fuzztime 10s ./internal/btree
+
 # perfbench-test vets and tests the benchmark module (perfbench/, its
 # own go.mod): the shadow model that checks every sampled result and
 # the spread/median statistics the benchmark reports.
@@ -93,6 +102,9 @@ bench-compare:
 
 # microbench runs the Go testing benchmarks (one pass, smoke-level),
 # among them BenchmarkTableScan (internal/sql), whose allocs/op is the
-# per-row decode allocation tax of a pruned multi-page scan.
+# per-row decode allocation tax of a pruned multi-page scan, and
+# BenchmarkResultTableUpdate (internal/core), whose allocs/op is the
+# result-table write cost of one hot AggregateDataInTable iteration
+# (200 index searches and in-place row updates).
 microbench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...

@@ -205,48 +205,56 @@ func (n node) usedContent() (int, error) {
 }
 
 // defragment rewrites all cells tightly against the end of the page.
+// It reads the cells from one page-sized copy (on the stack), so it
+// allocates nothing however many cells the page holds.
 func (n node) defragment() error {
-	num := n.numCells()
-	cells := make([][]byte, num)
-	for i := 0; i < num; i++ {
-		raw, err := n.rawCell(i)
+	var scratch storage.PageData
+	scratch = *n.data
+	src := node{id: n.id, data: &scratch}
+	ptr := storage.PageSize
+	for i := 0; i < src.numCells(); i++ {
+		raw, err := src.rawCell(i)
 		if err != nil {
 			return err
 		}
-		cp := make([]byte, len(raw))
-		copy(cp, raw)
-		cells[i] = cp
-	}
-	ptr := storage.PageSize
-	for i, c := range cells {
-		ptr -= len(c)
-		copy(n.data[ptr:], c)
+		ptr -= len(raw)
+		copy(n.data[ptr:], raw)
 		n.setCellPtr(i, ptr)
 	}
 	n.setContentPtr(ptr)
 	return nil
 }
 
-// insertCellRaw inserts pre-encoded cell bytes at index i, defragmenting
-// if needed. The caller must have verified the cell fits the page's
-// total free space.
-func (n node) insertCellRaw(i int, raw []byte) error {
-	if n.freeSpace() < len(raw)+2 {
+// reserveCell makes room for a size-byte cell at index i, defragmenting
+// if needed, and returns the offset the caller must write the cell at.
+// The caller must have verified the cell fits the page's total free
+// space.
+func (n node) reserveCell(i, size int) (int, error) {
+	if n.freeSpace() < size+2 {
 		if err := n.defragment(); err != nil {
-			return err
+			return 0, err
 		}
-		if n.freeSpace() < len(raw)+2 {
-			return fmt.Errorf("%w: insertCellRaw without room", ErrCorrupt)
+		if n.freeSpace() < size+2 {
+			return 0, fmt.Errorf("%w: cell insert without room", ErrCorrupt)
 		}
 	}
-	ptr := n.contentPtr() - len(raw)
-	copy(n.data[ptr:], raw)
+	ptr := n.contentPtr() - size
 	n.setContentPtr(ptr)
 	num := n.numCells()
 	// Shift pointer array right.
 	copy(n.data[offCellPtr0+2*(i+1):offCellPtr0+2*(num+1)], n.data[offCellPtr0+2*i:offCellPtr0+2*num])
 	n.setCellPtr(i, ptr)
 	n.setNumCells(num + 1)
+	return ptr, nil
+}
+
+// insertCellRaw inserts pre-encoded cell bytes at index i.
+func (n node) insertCellRaw(i int, raw []byte) error {
+	ptr, err := n.reserveCell(i, len(raw))
+	if err != nil {
+		return err
+	}
+	copy(n.data[ptr:], raw)
 	return nil
 }
 
@@ -260,12 +268,18 @@ func (n node) removeCell(i int) {
 
 // encodeLeafCell builds the encoded form of a leaf cell.
 func encodeLeafCell(key, value []byte) []byte {
-	raw := make([]byte, 0, leafCellSize(key, value))
-	raw = binary.AppendUvarint(raw, uint64(len(key)))
-	raw = append(raw, key...)
-	raw = binary.AppendUvarint(raw, uint64(len(value)))
-	raw = append(raw, value...)
+	raw := make([]byte, leafCellSize(key, value))
+	putLeafCell(raw, key, value)
 	return raw
+}
+
+// putLeafCell writes the encoded leaf cell into dst, which must hold at
+// least leafCellSize(key, value) bytes.
+func putLeafCell(dst, key, value []byte) {
+	off := binary.PutUvarint(dst, uint64(len(key)))
+	off += copy(dst[off:], key)
+	off += binary.PutUvarint(dst[off:], uint64(len(value)))
+	copy(dst[off:], value)
 }
 
 // encodeInteriorCell builds the encoded form of an interior cell.

@@ -65,6 +65,9 @@ type mechState struct {
 	aggIdx    []int
 	avgCounts map[int64]int64
 	indexName string
+	// processRecord's reused index probe and written-back row (the
+	// writer copies both, so they are free again when a call returns).
+	keyBuf, rowBuf []record.Value
 
 	created      bool
 	indexCreated bool
@@ -467,10 +470,11 @@ func (st *mechState) processRecord(snap uint64, row []record.Value, cost *Iterat
 			st.avgCounts[rowid] = 1
 			return nil
 		}
-		group := make([]record.Value, len(st.groupIdx))
-		for i, gi := range st.groupIdx {
-			group[i] = row[gi]
+		group := st.keyBuf[:0]
+		for _, gi := range st.groupIdx {
+			group = append(group, row[gi])
 		}
+		st.keyBuf = group
 		cost.ResultSearch++
 		rowid, existing, found, err := st.writer.LookupByIndex(st.indexName, group)
 		if err != nil {
@@ -485,7 +489,8 @@ func (st *mechState) processRecord(snap uint64, row []record.Value, cost *Iterat
 			st.avgCounts[rowid] = 1
 			return nil
 		}
-		newVals := append([]record.Value(nil), existing...)
+		newVals := append(st.rowBuf[:0], existing...)
+		st.rowBuf = newVals
 		changed := false
 		for pi, p := range st.pairs {
 			k := st.aggIdx[pi]
@@ -514,36 +519,29 @@ func (st *mechState) processRecord(snap uint64, row []record.Value, cost *Iterat
 		if len(row) != len(st.qqCols) {
 			return fmt.Errorf("rql: %s: Qq returned %d columns, expected %d", st.kind, len(row), len(st.qqCols))
 		}
-		full := make([]record.Value, 0, len(row)+2)
-		full = append(full, row...)
-		if st.iterations == 0 {
-			full = append(full, record.Int(int64(snap)), record.Int(int64(snap)))
-			if _, err := st.writer.Insert(full); err != nil {
+		if st.iterations > 0 {
+			// Probe for a record whose lifetime extends through the
+			// previous iteration's snapshot.
+			probe := append(append(st.keyBuf[:0], row...), record.Int(int64(st.prevSnap)))
+			st.keyBuf = probe
+			cost.ResultSearch++
+			rowid, existing, found, err := st.writer.LookupByIndex(st.indexName, probe)
+			if err != nil {
 				return err
 			}
-			cost.ResultInserts++
-			return nil
-		}
-		// Probe for a record whose lifetime extends through the
-		// previous iteration's snapshot.
-		probe := make([]record.Value, 0, len(row)+1)
-		probe = append(probe, row...)
-		probe = append(probe, record.Int(int64(st.prevSnap)))
-		cost.ResultSearch++
-		rowid, existing, found, err := st.writer.LookupByIndex(st.indexName, probe)
-		if err != nil {
-			return err
-		}
-		if found {
-			newVals := append([]record.Value(nil), existing...)
-			newVals[len(newVals)-1] = record.Int(int64(snap)) // end_snapshot
-			if err := st.writer.Update(rowid, existing, newVals); err != nil {
-				return err
+			if found {
+				newVals := append(st.rowBuf[:0], existing...)
+				st.rowBuf = newVals
+				newVals[len(newVals)-1] = record.Int(int64(snap)) // end_snapshot
+				if err := st.writer.Update(rowid, existing, newVals); err != nil {
+					return err
+				}
+				cost.ResultUpdates++
+				return nil
 			}
-			cost.ResultUpdates++
-			return nil
 		}
-		full = append(full, record.Int(int64(snap)), record.Int(int64(snap)))
+		full := append(append(st.rowBuf[:0], row...), record.Int(int64(snap)), record.Int(int64(snap)))
+		st.rowBuf = full
 		if _, err := st.writer.Insert(full); err != nil {
 			return err
 		}

@@ -34,6 +34,7 @@ type Column struct {
 	// RowidAlias marks an INTEGER PRIMARY KEY column, which aliases the
 	// table's rowid like in SQLite.
 	RowidAlias bool
+	aff        affinity // typeAffinity(Type), computed once rather than per written row
 }
 
 // Table describes a table: its columns and root page.
@@ -165,6 +166,7 @@ func decodeColumns(s string) ([]Column, error) {
 			Type:       parts[1],
 			NotNull:    strings.Contains(parts[2], "N"),
 			RowidAlias: strings.Contains(parts[2], "R"),
+			aff:        typeAffinity(parts[1]),
 		})
 	}
 	return cols, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -289,12 +290,13 @@ func (w *writeEnv) execInsert(s *InsertStmt) error {
 			sourceRows = append(sourceRows, vals)
 		}
 	}
+	ixs := sch.tableIndexes(t.Name)
 	for _, given := range sourceRows {
 		vals, err := buildRow(given)
 		if err != nil {
 			return err
 		}
-		if _, err := insertRow(w.tx, t, sch, vals); err != nil {
+		if _, err := insertRow(w.tx, t, ixs, vals); err != nil {
 			return err
 		}
 	}
@@ -302,22 +304,13 @@ func (w *writeEnv) execInsert(s *InsertStmt) error {
 }
 
 // insertRow applies affinity and constraints, assigns the rowid, and
-// writes the row plus its index entries. It is the single write path
-// shared by SQL INSERT, UPDATE (re-insert), bulk loading, and the RQL
-// mechanisms' result-table updates.
-func insertRow(p storage.Pager, t *Table, sch *schema, vals []record.Value) (int64, error) {
-	if len(vals) != len(t.Cols) {
-		return 0, fmt.Errorf("sql: table %s has %d columns but %d values", t.Name, len(t.Cols), len(vals))
-	}
-	aliasIdx := -1
-	for i, col := range t.Cols {
-		vals[i] = applyAffinity(vals[i], typeAffinity(col.Type))
-		if col.NotNull && vals[i].IsNull() {
-			return 0, fmt.Errorf("%w: %s.%s", ErrNotNull, t.Name, col.Name)
-		}
-		if col.RowidAlias {
-			aliasIdx = i
-		}
+// writes the row plus its index entries. It is the insert path shared
+// by SQL INSERT, an UPDATE that moves a row's rowid, bulk loading, and
+// the RQL mechanisms' result-table inserts.
+func insertRow(p storage.Pager, t *Table, ixs []*Index, vals []record.Value) (int64, error) {
+	aliasIdx, err := conformRow(t, vals)
+	if err != nil {
+		return 0, err
 	}
 	tbl := btree.Open(p, t.Root)
 
@@ -352,18 +345,13 @@ func insertRow(p storage.Pager, t *Table, sch *schema, vals []record.Value) (int
 	// constraint failure leaves nothing half-written within this
 	// statement's view (the enclosing transaction provides atomicity
 	// anyway; this just keeps error paths tidy).
-	for _, ix := range sch.tableIndexes(t.Name) {
-		key, err := indexKey(ix, t, vals, rowid)
+	for _, ix := range ixs {
+		key, err := indexKey(nil, ix, t, vals, rowid)
 		if err != nil {
 			return 0, err
 		}
-		if ix.Unique {
-			prefix := key[:len(key)-rowidKeySuffixLen] // strip the rowid component
-			if dup, err := indexPrefixExists(p, ix, prefix); err != nil {
-				return 0, err
-			} else if dup {
-				return 0, fmt.Errorf("%w: index %s", ErrUniqueIndex, ix.Name)
-			}
+		if err := checkUnique(p, ix, key); err != nil {
+			return 0, err
 		}
 		if err := btree.Open(p, ix.Root).Insert(key, nil); err != nil {
 			return 0, err
@@ -375,43 +363,82 @@ func insertRow(p storage.Pager, t *Table, sch *schema, vals []record.Value) (int
 	return rowid, nil
 }
 
-// indexKey builds the memcomparable key of one index entry.
-func indexKey(ix *Index, t *Table, vals []record.Value, rowid int64) ([]byte, error) {
-	kv := make([]record.Value, 0, len(ix.Cols)+1)
+// indexKey appends the memcomparable key of one index entry to dst.
+func indexKey(dst []byte, ix *Index, t *Table, vals []record.Value, rowid int64) ([]byte, error) {
 	for _, cn := range ix.Cols {
 		k := t.ColIndex(cn)
 		if k < 0 {
 			return nil, fmt.Errorf("%w: index %s references %s", ErrNoColumn, ix.Name, cn)
 		}
-		kv = append(kv, vals[k])
+		dst = record.EncodeKey(dst, vals[k:k+1])
 	}
-	kv = append(kv, record.Int(rowid))
-	return record.EncodeKey(nil, kv), nil
+	return record.EncodeKey(dst, []record.Value{record.Int(rowid)}), nil
 }
 
-// indexPrefixExists reports whether any index entry starts with prefix.
-func indexPrefixExists(p storage.Pager, ix *Index, prefix []byte) (bool, error) {
+// checkUnique fails with ErrUniqueIndex when ix is UNIQUE and already
+// holds an entry whose value columns equal those of key (the index key
+// a row is about to be stored under).
+func checkUnique(p storage.Pager, ix *Index, key []byte) error {
+	if !ix.Unique {
+		return nil
+	}
+	prefix := key[:len(key)-rowidKeySuffixLen] // strip the rowid component
 	cur := btree.Open(p, ix.Root).Cursor()
 	ok, err := cur.Seek(prefix)
-	if err != nil || !ok {
-		return false, err
+	if err == nil && ok && bytes.HasPrefix(cur.Key(), prefix) {
+		err = fmt.Errorf("%w: index %s", ErrUniqueIndex, ix.Name)
 	}
-	return bytes.HasPrefix(cur.Key(), prefix), nil
+	return err
+}
+
+// conformRow applies column affinities to vals in place, enforces NOT
+// NULL, and returns the rowid alias column's position (-1 if none).
+func conformRow(t *Table, vals []record.Value) (alias int, err error) {
+	if len(vals) != len(t.Cols) {
+		return 0, fmt.Errorf("sql: table %s has %d columns but %d values", t.Name, len(t.Cols), len(vals))
+	}
+	alias = -1
+	for i := range t.Cols {
+		col := &t.Cols[i]
+		vals[i] = applyAffinity(vals[i], col.aff)
+		if col.NotNull && vals[i].IsNull() {
+			return 0, fmt.Errorf("%w: %s.%s", ErrNotNull, t.Name, col.Name)
+		}
+		if col.RowidAlias {
+			alias = i
+		}
+	}
+	return alias, nil
 }
 
 // rowidKeySuffixLen is the encoded size of the trailing rowid component
-// every index key carries (a record.Int has a fixed-width encoding);
-// unique checks strip it to compare on the value columns alone.
+// every index key carries (a record.Int below 2^53 has a fixed-width
+// encoding); unique checks strip it to compare on value columns alone.
 var rowidKeySuffixLen = len(record.EncodeKey(nil, []record.Value{record.Int(0)}))
 
+// keyRowid returns the rowid an index key of t ends with. A rowid below
+// 2^53 fills the fixed-width suffix, so only that is decoded, unless an
+// INTEGER PRIMARY KEY lets t hold larger rowids.
+func keyRowid(t *Table, key []byte) (int64, error) {
+	tail := key[max(0, len(key)-rowidKeySuffixLen):]
+	if slices.ContainsFunc(t.Cols, func(c Column) bool { return c.RowidAlias }) {
+		tail = key
+	}
+	v, err := record.DecodeKey(tail)
+	if err != nil || len(v) == 0 || v[len(v)-1].Type() != record.TypeInt {
+		return 0, fmt.Errorf("%w: index key without a rowid suffix", record.ErrCorrupt)
+	}
+	return v[len(v)-1].Int(), nil
+}
+
 // deleteRowByID removes one row and its index entries.
-func deleteRowByID(p storage.Pager, t *Table, sch *schema, rowid int64, vals []record.Value) error {
+func deleteRowByID(p storage.Pager, t *Table, ixs []*Index, rowid int64, vals []record.Value) error {
 	tbl := btree.Open(p, t.Root)
 	if _, err := tbl.Delete(rowidKey(rowid)); err != nil {
 		return err
 	}
-	for _, ix := range sch.tableIndexes(t.Name) {
-		key, err := indexKey(ix, t, vals, rowid)
+	for _, ix := range ixs {
+		key, err := indexKey(nil, ix, t, vals, rowid)
 		if err != nil {
 			return err
 		}
@@ -460,9 +487,10 @@ func (w *writeEnv) execDelete(s *DeleteStmt) error {
 	if err != nil {
 		return err
 	}
+	ixs := sch.tableIndexes(t.Name)
 	for _, row := range rows {
 		rowid := row[len(row)-1].Int()
-		if err := deleteRowByID(w.tx, t, sch, rowid, row[:len(row)-1]); err != nil {
+		if err := deleteRowByID(w.tx, t, ixs, rowid, row[:len(row)-1]); err != nil {
 			return err
 		}
 	}
@@ -500,9 +528,11 @@ func (w *writeEnv) execUpdate(s *UpdateStmt) error {
 	if err != nil {
 		return err
 	}
+	ixs := sch.tableIndexes(t.Name)
 	for _, row := range rows {
 		rowid := row[len(row)-1].Int()
-		newVals := append([]record.Value(nil), row[:len(row)-1]...)
+		oldVals := row[:len(row)-1]
+		newVals := append([]record.Value(nil), oldVals...)
 		rc := &rowCtx{row: row, ec: w.ec}
 		for i, ce := range setExprs {
 			v, err := ce(rc)
@@ -511,61 +541,71 @@ func (w *writeEnv) execUpdate(s *UpdateStmt) error {
 			}
 			newVals[setIdx[i]] = v
 		}
-		if err := deleteRowByID(w.tx, t, sch, rowid, row[:len(row)-1]); err != nil {
+		// The rowid stays put unless the rowid alias column moves it.
+		alias, err := conformRow(t, newVals)
+		if err != nil {
 			return err
 		}
-		// Keep the rowid stable unless the rowid alias column changed.
-		alias := -1
-		for i, col := range t.Cols {
-			if col.RowidAlias {
-				alias = i
+		if alias < 0 || (newVals[alias].Type() == record.TypeInt && newVals[alias].Int() == rowid) {
+			if err := updateRowByID(w.tx, t, ixs, rowid, oldVals, newVals); err != nil {
+				return err
 			}
+			continue
 		}
-		if alias < 0 {
-			// Re-insert under the same rowid: temporarily pin it by
-			// using the alias-free direct path.
-			if err := insertRowWithID(w.tx, t, sch, newVals, rowid); err != nil {
-				return err
-			}
-		} else {
-			if _, err := insertRow(w.tx, t, sch, newVals); err != nil {
-				return err
-			}
+		if err := deleteRowByID(w.tx, t, ixs, rowid, oldVals); err != nil {
+			return err
+		}
+		if _, err := insertRow(w.tx, t, ixs, newVals); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// insertRowWithID inserts a row under a caller-chosen rowid (UPDATE
-// keeps rowids stable; bulk loaders preserve generated keys).
-func insertRowWithID(p storage.Pager, t *Table, sch *schema, vals []record.Value, rowid int64) error {
-	if len(vals) != len(t.Cols) {
-		return fmt.Errorf("sql: table %s has %d columns but %d values", t.Name, len(t.Cols), len(vals))
+// updateRowByID rewrites the row stored under rowid from oldVals (its
+// current values) to newVals. The table cell goes through btree.Insert,
+// which overwrites it in its slot when the new cell is no larger. An
+// index entry whose encoded key is unchanged is left alone; the others
+// move only after every moved key has passed its unique check, so a
+// constraint failure leaves the row and its index entries as they were.
+func updateRowByID(p storage.Pager, t *Table, ixs []*Index, rowid int64, oldVals, newVals []record.Value) error {
+	if _, err := conformRow(t, newVals); err != nil {
+		return err
 	}
-	for i, col := range t.Cols {
-		vals[i] = applyAffinity(vals[i], typeAffinity(col.Type))
-		if col.NotNull && vals[i].IsNull() {
-			return fmt.Errorf("%w: %s.%s", ErrNotNull, t.Name, col.Name)
-		}
+	type move struct {
+		ix             *Index
+		oldKey, newKey []byte
 	}
-	for _, ix := range sch.tableIndexes(t.Name) {
-		key, err := indexKey(ix, t, vals, rowid)
+	var moves []move
+	buf := make([]byte, 0, 256) // every old and new key, then the cell
+	for _, ix := range ixs {
+		oldKey, err := indexKey(buf, ix, t, oldVals, rowid)
 		if err != nil {
 			return err
 		}
-		if ix.Unique {
-			prefix := key[:len(key)-rowidKeySuffixLen]
-			if dup, err := indexPrefixExists(p, ix, prefix); err != nil {
-				return err
-			} else if dup {
-				return fmt.Errorf("%w: index %s", ErrUniqueIndex, ix.Name)
-			}
+		newKey, err := indexKey(oldKey[len(oldKey):], ix, t, newVals, rowid)
+		if err != nil {
+			return err
 		}
-		if err := btree.Open(p, ix.Root).Insert(key, nil); err != nil {
+		buf = newKey[len(newKey):]
+		if bytes.Equal(oldKey, newKey) {
+			continue
+		}
+		if err := checkUnique(p, ix, newKey); err != nil {
+			return err
+		}
+		moves = append(moves, move{ix, oldKey, newKey})
+	}
+	for _, m := range moves {
+		tr := btree.Open(p, m.ix.Root)
+		if _, err := tr.Delete(m.oldKey); err != nil {
+			return err
+		}
+		if err := tr.Insert(m.newKey, nil); err != nil {
 			return err
 		}
 	}
-	return btree.Open(p, t.Root).Insert(rowidKey(rowid), record.EncodeRow(nil, vals))
+	return btree.Open(p, t.Root).Insert(rowidKey(rowid), record.EncodeRow(buf, newVals))
 }
 
 func (w *writeEnv) execCreateTable(s *CreateTableStmt) error {
@@ -601,10 +641,11 @@ func (w *writeEnv) execCreateTable(s *CreateTableStmt) error {
 				Name:    cd.Name,
 				Type:    cd.Type,
 				NotNull: cd.NotNull,
+				aff:     typeAffinity(cd.Type),
 			})
 		}
 		for i, cd := range s.Cols {
-			if cd.PrimaryKey && typeAffinity(cd.Type) == affInteger {
+			if cd.PrimaryKey && cols[i].aff == affInteger {
 				cols[i].RowidAlias = true
 				intPKs++
 			}
@@ -626,8 +667,8 @@ func (w *writeEnv) execCreateTable(s *CreateTableStmt) error {
 
 	// Non-integer PRIMARY KEY columns get an automatic unique index.
 	if s.AsSelect == nil {
-		for _, cd := range s.Cols {
-			if cd.PrimaryKey && typeAffinity(cd.Type) != affInteger {
+		for i, cd := range s.Cols {
+			if cd.PrimaryKey && cols[i].aff != affInteger {
 				ixRoot, err := btree.Create(w.tx)
 				if err != nil {
 					return err
@@ -652,7 +693,7 @@ func (w *writeEnv) execCreateTable(s *CreateTableStmt) error {
 		if len(row) > len(cols) {
 			row = row[:len(cols)]
 		}
-		if _, err := insertRow(w.tx, t, sch, row); err != nil {
+		if _, err := insertRow(w.tx, t, nil, row); err != nil { // AS SELECT: no indexes yet
 			return err
 		}
 	}
@@ -696,17 +737,12 @@ func (w *writeEnv) execCreateIndex(s *CreateIndexStmt) error {
 			break
 		}
 		rowid := row[len(row)-1].Int()
-		key, err := indexKey(ix, t, row[:len(row)-1], rowid)
+		key, err := indexKey(nil, ix, t, row[:len(row)-1], rowid)
 		if err != nil {
 			return err
 		}
-		if ix.Unique {
-			prefix := key[:len(key)-rowidKeySuffixLen]
-			if dup, err := indexPrefixExists(w.tx, ix, prefix); err != nil {
-				return err
-			} else if dup {
-				return fmt.Errorf("%w: index %s", ErrUniqueIndex, ix.Name)
-			}
+		if err := checkUnique(w.tx, ix, key); err != nil {
+			return err
 		}
 		if err := tree.Insert(key, nil); err != nil {
 			return err
@@ -783,9 +819,10 @@ func (c *Conn) BulkInsert(table string, rows [][]record.Value) error {
 			if err != nil {
 				return err
 			}
+			ixs := sch.tableIndexes(t.Name)
 			for _, row := range rows {
 				vals := append([]record.Value(nil), row...)
-				if _, err := insertRow(w.tx, t, sch, vals); err != nil {
+				if _, err := insertRow(w.tx, t, ixs, vals); err != nil {
 					return err
 				}
 			}

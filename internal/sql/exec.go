@@ -163,7 +163,7 @@ func fetchRow(dst []record.Value, tbl *btree.Tree, rowid int64, need []bool) (bo
 }
 
 // ---------------------------------------------------------------------------
-// Filters and projection
+// Filters
 // ---------------------------------------------------------------------------
 
 type filterIter struct {
@@ -190,30 +190,6 @@ func (i *filterIter) Next() ([]record.Value, error) {
 	}
 }
 func (i *filterIter) Close() error { return i.src.Close() }
-
-type projectIter struct {
-	src   iterator
-	exprs []compiledExpr
-	ec    *execCtx
-}
-
-func (i *projectIter) Next() ([]record.Value, error) {
-	row, err := i.src.Next()
-	if err != nil || row == nil {
-		return nil, err
-	}
-	out := make([]record.Value, len(i.exprs))
-	rc := &rowCtx{row: row, ec: i.ec}
-	for k, e := range i.exprs {
-		v, err := e(rc)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = v
-	}
-	return out, nil
-}
-func (i *projectIter) Close() error { return i.src.Close() }
 
 // ---------------------------------------------------------------------------
 // Joins

@@ -55,9 +55,6 @@ func describe(it any, depth int, out *[]string) {
 	case *filterIter:
 		add("FILTER")
 		describe(x.src, depth+1, out)
-	case *projectIter:
-		add("PROJECT (%d expressions)", len(x.exprs))
-		describe(x.src, depth+1, out)
 	case *autoIndexJoin:
 		add("JOIN USING AUTOMATIC COVERING INDEX (transient B-tree)")
 		describe(x.outer, depth+1, out)

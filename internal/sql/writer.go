@@ -20,8 +20,13 @@ type TableWriter struct {
 	tx   *storage.Tx
 	own  bool
 	t    *Table
+	ixs  []*Index // t's indexes
 	sch  *schema
 	done bool
+
+	// Reused across calls: a written row's copy, a lookup's prefix and row.
+	row, found []record.Value
+	key        []byte
 }
 
 // OpenTableWriter opens a writer on the named table. If the table lives
@@ -69,6 +74,7 @@ func (c *Conn) OpenTableWriter(name string) (*TableWriter, error) {
 		w.Rollback()
 		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
 	}
+	w.ixs, w.found = w.sch.tableIndexes(w.t.Name), make([]record.Value, len(w.t.Cols)+1)
 	return w, nil
 }
 
@@ -80,12 +86,13 @@ func (w *TableWriter) Insert(vals []record.Value) (int64, error) {
 	if w.done {
 		return 0, storage.ErrTxDone
 	}
-	cp := append([]record.Value(nil), vals...)
-	return insertRow(w.tx, w.t, w.sch, cp)
+	w.row = append(w.row[:0], vals...)
+	return insertRow(w.tx, w.t, w.ixs, w.row)
 }
 
 // LookupByIndex finds the first row whose index-key prefix matches vals
-// on the named index, returning its rowid and column values.
+// on the named index, returning its rowid and column values. The values
+// are valid until the writer's next LookupByIndex.
 func (w *TableWriter) LookupByIndex(indexName string, vals []record.Value) (int64, []record.Value, bool, error) {
 	if w.done {
 		return 0, nil, false, storage.ErrTxDone
@@ -94,39 +101,35 @@ func (w *TableWriter) LookupByIndex(indexName string, vals []record.Value) (int6
 	if ix == nil {
 		return 0, nil, false, fmt.Errorf("%w: %s", ErrNoIndex, indexName)
 	}
-	prefix := record.EncodeKey(nil, vals)
+	w.key = record.EncodeKey(w.key[:0], vals)
 	cur := btree.Open(w.tx, ix.Root).Cursor()
-	ok, err := cur.Seek(prefix)
+	ok, err := cur.Seek(w.key)
 	if err != nil || !ok {
 		return 0, nil, false, err
 	}
 	key := cur.Key()
-	if !bytes.HasPrefix(key, prefix) {
+	if !bytes.HasPrefix(key, w.key) {
 		return 0, nil, false, nil
 	}
-	decoded, err := record.DecodeKey(key)
+	rowid, err := keyRowid(w.t, key)
 	if err != nil {
 		return 0, nil, false, err
 	}
-	rowid := decoded[len(decoded)-1].Int()
-	row := make([]record.Value, len(w.t.Cols)+1)
-	found, err := fetchRow(row, btree.Open(w.tx, w.t.Root), rowid, nil)
+	found, err := fetchRow(w.found, btree.Open(w.tx, w.t.Root), rowid, nil)
 	if err != nil || !found {
 		return 0, nil, false, err
 	}
-	return rowid, row[:len(row)-1], true, nil
+	return rowid, w.found[:len(w.t.Cols)], true, nil
 }
 
-// Update replaces the row identified by rowid (indexes maintained).
+// Update rewrites the row identified by rowid from oldVals, the values
+// it holds now, to newVals, in place where it can (see updateRowByID).
 func (w *TableWriter) Update(rowid int64, oldVals, newVals []record.Value) error {
 	if w.done {
 		return storage.ErrTxDone
 	}
-	if err := deleteRowByID(w.tx, w.t, w.sch, rowid, oldVals); err != nil {
-		return err
-	}
-	cp := append([]record.Value(nil), newVals...)
-	return insertRowWithID(w.tx, w.t, w.sch, cp, rowid)
+	w.row = append(w.row[:0], newVals...)
+	return updateRowByID(w.tx, w.t, w.ixs, rowid, oldVals, w.row)
 }
 
 // Commit publishes the writes (a no-op handoff when the writer joined

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"rql/internal/btree"
 	"rql/internal/record"
 	"rql/internal/storage"
 )
@@ -169,5 +170,175 @@ func TestTableStatsAPI(t *testing.T) {
 	}
 	if _, err := c.TableStats("nope"); !errors.Is(err, ErrNoTable) {
 		t.Errorf("missing table: %v", err)
+	}
+}
+
+// checkOneEntryPerRow verifies that every index on table holds exactly
+// one entry per row, keyed by that row's current values and rowid, and
+// nothing else.
+func checkOneEntryPerRow(t *testing.T, p storage.Pager, sch *schema, table string) {
+	t.Helper()
+	tab := sch.table(table)
+	scan := newTableScan(p, tab, nil)
+	var rows [][]record.Value
+	for {
+		row, err := scan.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row == nil {
+			break
+		}
+		rows = append(rows, append([]record.Value(nil), row...))
+	}
+	for _, ix := range sch.tableIndexes(table) {
+		want := map[string]int{}
+		for _, row := range rows {
+			key, err := indexKey(nil, ix, tab, row[:len(row)-1], row[len(row)-1].Int())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[string(key)]++
+		}
+		cur := btree.Open(p, ix.Root).Cursor()
+		n := 0
+		ok, err := cur.First()
+		for ; ok && err == nil; ok, err = cur.Next() {
+			if want[string(cur.Key())] != 1 {
+				t.Fatalf("index %s: entry %x matches %d rows, want 1", ix.Name, cur.Key(), want[string(cur.Key())])
+			}
+			n++
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(rows) {
+			t.Fatalf("index %s has %d entries for %d rows", ix.Name, n, len(rows))
+		}
+	}
+}
+
+// checkCommitted runs checkOneEntryPerRow over the committed main store.
+func checkCommitted(t *testing.T, c *Conn, table string) {
+	t.Helper()
+	rt, err := c.db.main.BeginRead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	sch, err := loadSchema(rt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOneEntryPerRow(t, rt, sch, table)
+}
+
+func TestUpdateKeepsOneIndexEntryPerRow(t *testing.T) {
+	c := testConn(t)
+	mustExec(t, c, `CREATE TABLE r (g TEXT, u INTEGER, v TEXT)`)
+	mustExec(t, c, `CREATE INDEX r_g ON r (g)`)
+	mustExec(t, c, `CREATE UNIQUE INDEX r_u ON r (u)`)
+	mustExec(t, c, `CREATE INDEX r_gv ON r (g, v)`)
+	mustExec(t, c, `INSERT INTO r VALUES ('a', 1, 'x'), ('a', 2, 'y'), ('b', 3, 'z')`)
+
+	// Only r_gv's key changes; then every key changes at once.
+	mustExec(t, c, `UPDATE r SET v = 'w' WHERE u = 2`)
+	checkCommitted(t, c, "r")
+	mustExec(t, c, `UPDATE r SET u = u + 10, v = v || v`)
+	checkCommitted(t, c, "r")
+	expectSet(t, q(t, c, `SELECT g, u, v FROM r`), "a|11|xx", "a|12|ww", "b|13|zz")
+
+	// A unique violation fails the statement and leaves every entry in
+	// place, in autocommit and inside an explicit transaction.
+	if err := c.Exec(`UPDATE r SET u = 13 WHERE u = 11`, nil); !errors.Is(err, ErrUniqueIndex) {
+		t.Fatalf("duplicate u: %v", err)
+	}
+	checkCommitted(t, c, "r")
+	mustExec(t, c, `BEGIN`)
+	if err := c.Exec(`UPDATE r SET u = 12, v = 'q' WHERE u = 11`, nil); !errors.Is(err, ErrUniqueIndex) {
+		t.Fatalf("duplicate u in a transaction: %v", err)
+	}
+	mustExec(t, c, `UPDATE r SET g = 'c' WHERE u = 13`)
+	mustExec(t, c, `COMMIT`)
+	checkCommitted(t, c, "r")
+	expectSet(t, q(t, c, `SELECT g, u, v FROM r`), "a|11|xx", "a|12|ww", "c|13|zz")
+
+	// Moving an INTEGER PRIMARY KEY moves the row to the new rowid.
+	mustExec(t, c, `CREATE TABLE p (id INTEGER PRIMARY KEY, g TEXT)`)
+	mustExec(t, c, `CREATE INDEX p_g ON p (g)`)
+	mustExec(t, c, `INSERT INTO p VALUES (1, 'a'), (2, 'b')`)
+	mustExec(t, c, `UPDATE p SET id = 7 WHERE id = 1`)
+	mustExec(t, c, `UPDATE p SET g = 'bb' WHERE id = 2`)
+	checkCommitted(t, c, "p")
+	expectSet(t, q(t, c, `SELECT id, g FROM p`), "7|a", "2|bb")
+}
+
+func TestTableWriterUpdateKeepsOneIndexEntryPerRow(t *testing.T) {
+	c := testConn(t)
+	mustExec(t, c, `CREATE TEMP TABLE r (g TEXT, u INTEGER, v TEXT)`)
+	mustExec(t, c, `CREATE INDEX r_g ON r (g)`)
+	mustExec(t, c, `CREATE UNIQUE INDEX r_u ON r (u)`)
+	w, err := c.OpenTableWriter("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Rollback()
+	row := func(g string, u int64, v string) []record.Value {
+		return []record.Value{record.Text(g), record.Int(u), record.Text(v)}
+	}
+	id1, err := w.Insert(row("a", 1, "x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Insert(row("b", 2, "y")); err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		old, new []record.Value
+		err      error
+	}{
+		{row("a", 1, "x"), row("a", 1, "z"), nil},                       // same size, no key change
+		{row("a", 1, "z"), row("a", 1, "a longer value"), nil},          // cell grows
+		{row("a", 1, "a longer value"), row("a", 1, ""), nil},           // cell shrinks
+		{row("a", 1, ""), row("c", 3, "m"), nil},                        // both keys move
+		{row("c", 3, "m"), row("d", 2, "n"), ErrUniqueIndex},            // u collides with row 2
+		{row("c", 3, "m"), row("c", 3, "after the failed update"), nil}, // row survived intact
+	}
+	for i, s := range steps {
+		if err := w.Update(id1, s.old, s.new); !errors.Is(err, s.err) {
+			t.Fatalf("step %d: Update err = %v, want %v", i, err, s.err)
+		}
+		checkOneEntryPerRow(t, w.tx, w.sch, "r")
+	}
+	got, vals, found, err := w.LookupByIndex("r_u", []record.Value{record.Int(3)})
+	if err != nil || !found || got != id1 || vals[2].Text() != "after the failed update" {
+		t.Fatalf("lookup after updates: id=%d vals=%v found=%v err=%v", got, vals, found, err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	expectSet(t, q(t, c, `SELECT g, u, v FROM r`), "c|3|after the failed update", "b|2|y")
+}
+
+// Rowids of 2^53 and above take the long key encoding, so the lookup
+// cannot read them from the fixed-width suffix.
+func TestTableWriterLookupLargeRowid(t *testing.T) {
+	c := testConn(t)
+	mustExec(t, c, `CREATE TEMP TABLE w (id INTEGER PRIMARY KEY, u TEXT)`)
+	mustExec(t, c, `CREATE INDEX w_u ON w (u)`)
+	mustExec(t, c, `INSERT INTO w VALUES (4611686018427387904, 'big'), (7, 'small')`)
+	w, err := c.OpenTableWriter("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Rollback()
+	for _, want := range []struct {
+		u  string
+		id int64
+	}{{"big", 4611686018427387904}, {"small", 7}} {
+		id, vals, found, err := w.LookupByIndex("w_u", []record.Value{record.Text(want.u)})
+		if err != nil || !found || id != want.id || vals[1].Text() != want.u {
+			t.Fatalf("lookup %q: id=%d vals=%v found=%v err=%v", want.u, id, vals, found, err)
+		}
 	}
 }
